@@ -45,8 +45,8 @@ BENCH_WINDOW_S = 30.0
 
 
 def _plan():
-    return chaos_sweep.plan_scenarios(rates=BENCH_RATES, window_s=BENCH_WINDOW_S,
-                                      seed=0)
+    return chaos_sweep.SWEEP.plan(rates=BENCH_RATES, window_s=BENCH_WINDOW_S,
+                                  seed=0)
 
 
 def _scenario_walls() -> list[float]:

@@ -19,16 +19,19 @@ Usage::
     python -m repro sweep list
     python -m repro sweep chaos --jobs 8 --set "rates=(0, 8, 16)"
 
-``--set key=value`` pairs are parsed as Python literals and forwarded to
-the experiment's ``run()``.  ``--trace`` writes a Chrome ``trace_event``
+``repro run`` covers the paper's figures and tables; its ``--set
+key=value`` pairs are parsed as Python literals and forwarded to the
+experiment's ``run()``.  ``--trace`` writes a Chrome ``trace_event``
 JSON (open in Perfetto / about://tracing), ``--spans`` a JSONL span
 dump, and ``--metrics-out`` a Prometheus-style text exposition; all
 three observe the run through a :class:`~repro.telemetry.TelemetryCollector`
 without perturbing simulated time.
 
-The sweep commands (``chaos`` / ``autoscale`` / ``memdurability`` and
-the generic ``sweep``) share one flag set — ``--jobs`` / ``--seed`` /
-``--json`` / ``--stream-spans`` — and execute through
+Every registered sweep gets a subcommand derived from its declaration
+(:mod:`repro.experiments.base`): each :class:`~repro.experiments.base.Param`
+with a ``flag`` becomes an option, and ``repro sweep <name> --set k=v``
+reaches every parameter by name.  Both share one flag set — ``--jobs`` /
+``--seed`` / ``--json`` / ``--stream-spans`` — and execute through
 :func:`repro.sweep.run_sweep`: scenarios fan out across a process pool
 and merge in canonical plan order, so the report, the ``--json`` file,
 and the ``--stream-spans`` stream are byte-identical at every jobs
@@ -46,8 +49,6 @@ import time
 from typing import Any, Callable
 
 from .experiments import (
-    autoscale_sweep,
-    chaos_sweep,
     fig01_utilization,
     fig07_latency,
     fig08_storage,
@@ -56,15 +57,11 @@ from .experiments import (
     fig11_memory_sharing,
     fig12_gpu_sharing,
     fig13_offloading,
-    gpu_scaling_sweep,
-    loadstorm_sweep,
-    manager_failover_sweep,
-    memdurability_sweep,
     tab03_idle_node,
 )
-from .experiments.base import get_sweep
-from .faults import FaultPlan, certify
-from .sweep import SweepScenarioError, run_sweep, sweep_names
+from .experiments.base import Param, Sweep, get_sweep, registered_sweeps
+from .faults import certify
+from .sweep import SweepScenarioError, run_sweep
 from .telemetry import (
     MetricsRegistry,
     RedAggregator,
@@ -85,7 +82,8 @@ from .analysis.tables import render_table
 
 __all__ = ["EXPERIMENTS", "main"]
 
-#: name -> (module, one-line description)
+#: name -> (module, one-line description) of every figure and table;
+#: the sweeps come from the registry.
 EXPERIMENTS: dict[str, tuple[Any, str]] = {
     "fig01": (fig01_utilization, "Piz Daint utilization: idle nodes, memory, idle periods"),
     "fig07": (fig07_latency, "rFaaS vs libfabric invocation latency"),
@@ -96,12 +94,6 @@ EXPERIMENTS: dict[str, tuple[Any, str]] = {
     "fig11": (fig11_memory_sharing, "remote-memory traffic perturbation"),
     "fig12": (fig12_gpu_sharing, "GPU co-location overheads"),
     "fig13": (fig13_offloading, "real offloading: Black-Scholes + MC transport"),
-    "chaos": (chaos_sweep, "invocation latency under injected faults"),
-    "autoscale": (autoscale_sweep, "predictive vs reactive warm pools under load"),
-    "memdurability": (memdurability_sweep, "replicated memory service under a crash+drain storm"),
-    "gpu_scaling": (gpu_scaling_sweep, "GPU invocation batching: batch size vs throughput/latency"),
-    "manager_failover": (manager_failover_sweep, "completion through manager crash/partition, by standby count"),
-    "loadstorm": (loadstorm_sweep, "open-loop million-client lease churn vs control-plane shards"),
 }
 
 
@@ -116,6 +108,49 @@ def _parse_overrides(pairs: list[str]) -> dict[str, Any]:
         except (ValueError, SyntaxError):
             overrides[key] = raw  # plain string
     return overrides
+
+
+def _flag_options(param: Param) -> dict[str, Any]:
+    """argparse options for ``param``'s flag, typed after its default."""
+    if isinstance(param.default, bool):
+        return {"action": "store_false" if param.default else "store_true"}
+    if param.parse is not None:
+        def convert(text: str) -> Any:
+            try:
+                return param.parse(text)
+            except (OSError, ValueError, TypeError, KeyError) as exc:
+                raise argparse.ArgumentTypeError(f"cannot load {text!r}: {exc}")
+    elif isinstance(param.default, tuple):
+        item = type(param.default[0])
+        noun = "integers" if item is int else "numbers"
+
+        def convert(text: str) -> Any:
+            try:
+                return tuple(item(value) for value in text.split(","))
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"expects comma-separated {noun}, got {text!r}")
+    else:
+        convert = type(param.default)
+    return {"type": convert, "metavar": param.metavar, "choices": param.choices}
+
+
+def _add_sweep_parser(sub, sweep: Sweep) -> argparse.ArgumentParser:
+    """``repro <sweep>``: one option per flagged parameter."""
+    parser = sub.add_parser(sweep.command or sweep.name, help=sweep.description)
+    parser.set_defaults(sweep=sweep.name)
+    groups: dict[str, Any] = {}
+    for param in sweep.params:
+        if param.flag is None:
+            continue
+        target = parser
+        if param.group is not None:
+            if param.group not in groups:
+                groups[param.group] = parser.add_mutually_exclusive_group()
+            target = groups[param.group]
+        target.add_argument(param.flag, dest=param.name, help=param.help,
+                            default=argparse.SUPPRESS, **_flag_options(param))
+    return parser
 
 
 def _run_one(name: str, overrides: dict[str, Any], out: Callable[[str], None]) -> None:
@@ -179,6 +214,10 @@ def _run_sweep_command(name: str, kwargs: dict[str, Any],
     """
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    try:
+        get_sweep(name).plan(**kwargs)  # reject bad parameters up front
+    except ValueError as exc:
+        parser.error(str(exc))
     batch_exports = args.trace or args.spans or args.metrics_out
     if batch_exports and args.jobs != 1:
         parser.error("--trace/--spans/--metrics-out observe the whole run in "
@@ -322,127 +361,8 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
         help="stream spans to FILE as JSONL while the run executes "
              "(bounded memory; batch exports then cover only the tail)",
     )
-    chaos_parser = sub.add_parser(
-        "chaos", help="fault-injection sweep: latency/recovery under faults",
-    )
-    chaos_parser.add_argument(
-        "--plan", metavar="FILE", default=None,
-        help="JSON FaultPlan to replay (instead of the built-in rate sweep)",
-    )
-    chaos_parser.add_argument(
-        "--rates", default=None, metavar="R1,R2,...",
-        help="comma-separated fault rates (events per simulated minute)",
-    )
-    chaos_parser.add_argument("--seed", type=int, default=0)
-    chaos_parser.add_argument(
-        "--window", type=float, default=30.0, metavar="SECONDS",
-        help="simulated measurement window per scenario",
-    )
-    chaos_parser.add_argument(
-        "--memservice", action="store_true",
-        help="co-run a remote-paging stream on a replicated (k=2) memory "
-             "service, so the storm also exercises durable-memory failover",
-    )
-    chaos_parser.add_argument(
-        "--json", metavar="FILE", default=None, dest="json_out",
-        help="write the machine-readable sweep result as JSON",
-    )
-    autoscale_parser = sub.add_parser(
-        "autoscale", help="capacity sweep: predictive vs reactive warm pools",
-    )
-    autoscale_parser.add_argument(
-        "--loads", default=None, metavar="L1,L2,...",
-        help="comma-separated load multipliers (default 1,4,16)",
-    )
-    autoscale_parser.add_argument("--seed", type=int, default=0)
-    autoscale_parser.add_argument(
-        "--window", type=float, default=20.0, metavar="SECONDS",
-        help="simulated arrival window per scenario",
-    )
-    autoscale_parser.add_argument(
-        "--plan", metavar="FILE", default=None,
-        help="JSON FaultPlan to replay (instead of the built-in crash storm)",
-    )
-    autoscale_parser.add_argument(
-        "--no-crash", action="store_true",
-        help="disable the default node-crash storm",
-    )
-    autoscale_parser.add_argument(
-        "--json", metavar="FILE", default=None, dest="json_out",
-        help="write the machine-readable sweep result as JSON",
-    )
-    memdur_parser = sub.add_parser(
-        "memdurability",
-        help="durable-memory sweep: replication factors under a crash+drain storm",
-    )
-    memdur_parser.add_argument(
-        "--factors", default=None, metavar="K1,K2,...",
-        help="comma-separated replication factors (default 1,2,3)",
-    )
-    memdur_parser.add_argument("--seed", type=int, default=0)
-    memdur_parser.add_argument(
-        "--window", type=float, default=20.0, metavar="SECONDS",
-        help="simulated paging window per factor",
-    )
-    memdur_parser.add_argument(
-        "--accesses", type=int, default=400,
-        help="pager accesses replayed per factor",
-    )
-    memdur_parser.add_argument(
-        "--json", metavar="FILE", default=None, dest="json_out",
-        help="write the machine-readable sweep result as JSON",
-    )
-    managerha_parser = sub.add_parser(
-        "managerha",
-        help="control-plane HA sweep: completion through manager crash/partition",
-    )
-    managerha_parser.add_argument(
-        "--standbys", default=None, metavar="K1,K2,...",
-        help="comma-separated standby counts (default 0,1,2)",
-    )
-    managerha_parser.add_argument("--seed", type=int, default=0)
-    managerha_parser.add_argument(
-        "--window", type=float, default=20.0, metavar="SECONDS",
-        help="simulated measurement window per standby count",
-    )
-    managerha_parser.add_argument(
-        "--json", metavar="FILE", default=None, dest="json_out",
-        help="write the machine-readable sweep result as JSON",
-    )
-    loadstorm_parser = sub.add_parser(
-        "loadstorm",
-        help="shard sweep: open-loop million-client lease churn vs shard count",
-    )
-    loadstorm_parser.add_argument(
-        "--shards", default=None, metavar="N1,N2,...",
-        help="comma-separated shard counts (default 1,2,4,8)",
-    )
-    loadstorm_parser.add_argument("--seed", type=int, default=0)
-    loadstorm_parser.add_argument(
-        "--window", type=float, default=8.0, metavar="SECONDS",
-        help="simulated arrival window per shard count",
-    )
-    loadstorm_parser.add_argument(
-        "--rate", type=float, default=3000.0, metavar="REQ_PER_S",
-        help="open-loop arrival rate (default 3000)",
-    )
-    loadstorm_parser.add_argument(
-        "--population", type=int, default=1_200_000, metavar="N",
-        help="synthetic tenant population behind the Zipf mix (default 1.2M)",
-    )
-    loadstorm_parser.add_argument(
-        "--arrival", choices=("poisson", "mmpp"), default="poisson",
-        help="arrival process (default poisson)",
-    )
-    loadstorm_parser.add_argument(
-        "--crash-at", type=float, default=0.0, metavar="FRACTION",
-        dest="crash_at", help="crash the last shard at this fraction of the "
-                              "window (0 disables; default 0)",
-    )
-    loadstorm_parser.add_argument(
-        "--json", metavar="FILE", default=None, dest="json_out",
-        help="write the machine-readable sweep result as JSON",
-    )
+    sweep_parsers = [_add_sweep_parser(sub, sweep)
+                     for sweep in registered_sweeps().values()]
     certify_parser = sub.add_parser(
         "certify",
         help="chaos certification: control-plane invariants under randomized "
@@ -474,17 +394,15 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
         help="run any registered sweep ('sweep list' shows them) across a pool",
     )
     generic_sweep_parser.add_argument(
-        "name", choices=[*sweep_names(), "list"],
+        "name", choices=[*registered_sweeps(), "list"],
         help="registered sweep name, or 'list' to enumerate the registry",
     )
     generic_sweep_parser.add_argument(
         "--set", action="append", default=[], metavar="key=value",
-        help="override a plan_scenarios() keyword argument (repeatable)",
+        help="override a sweep parameter (repeatable)",
     )
-    generic_sweep_parser.add_argument("--seed", type=int, default=0)
-    for sweep_parser in (chaos_parser, autoscale_parser, memdur_parser,
-                         managerha_parser, loadstorm_parser,
-                         generic_sweep_parser):
+    for sweep_parser in (*sweep_parsers, generic_sweep_parser):
+        sweep_parser.add_argument("--seed", type=int, default=0)
         sweep_parser.add_argument(
             "--jobs", type=int, default=1, metavar="N",
             help="worker processes to fan scenarios across (default 1; "
@@ -504,10 +422,10 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
             help="stream spans to FILE as JSONL while the run executes "
                  "(bounded memory; works at any --jobs count)",
         )
-    generic_sweep_parser.add_argument(
-        "--json", metavar="FILE", default=None, dest="json_out",
-        help="write the machine-readable sweep result as JSON",
-    )
+        sweep_parser.add_argument(
+            "--json", metavar="FILE", default=None, dest="json_out",
+            help="write the machine-readable sweep result as JSON",
+        )
     telemetry_parser = sub.add_parser(
         "telemetry", help="inspect exported telemetry",
     )
@@ -558,8 +476,12 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        width = max(len(name) for name in EXPERIMENTS)
-        for name, (_, description) in EXPERIMENTS.items():
+        entries = [(name, description)
+                   for name, (_, description) in EXPERIMENTS.items()]
+        entries += [(name, sweep.description)
+                    for name, sweep in registered_sweeps().items()]
+        width = max(len(name) for name, _ in entries)
+        for name, description in entries:
             out(f"{name.ljust(width)}  {description}")
         return 0
 
@@ -574,52 +496,12 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
     if args.command == "obs":
         return _run_obs(args, parser, out)
 
-    if args.command == "chaos":
-        kwargs: dict[str, Any] = {"seed": args.seed, "window_s": args.window,
-                                  "memservice": args.memservice}
-        if args.plan:
-            try:
-                kwargs["plan"] = FaultPlan.load(args.plan)
-            except (OSError, ValueError, TypeError, KeyError) as exc:
-                parser.error(f"cannot load fault plan: {exc}")
-        if args.rates:
-            if args.plan:
-                parser.error("--rates and --plan are mutually exclusive")
-            try:
-                kwargs["rates"] = tuple(float(r) for r in args.rates.split(","))
-            except ValueError:
-                parser.error(f"--rates expects comma-separated numbers, got {args.rates!r}")
-        return _run_sweep_command("chaos", kwargs, args, parser, out)
-
-    if args.command == "memdurability":
-        kwargs = {"seed": args.seed, "window_s": args.window,
-                  "accesses": args.accesses}
-        if args.factors:
-            try:
-                kwargs["factors"] = tuple(int(k) for k in args.factors.split(","))
-            except ValueError:
-                parser.error(f"--factors expects comma-separated integers, got {args.factors!r}")
-        return _run_sweep_command("memdurability", kwargs, args, parser, out)
-
-    if args.command == "managerha":
-        kwargs = {"seed": args.seed, "window_s": args.window}
-        if args.standbys:
-            try:
-                kwargs["standbys"] = tuple(int(k) for k in args.standbys.split(","))
-            except ValueError:
-                parser.error(f"--standbys expects comma-separated integers, got {args.standbys!r}")
-        return _run_sweep_command("manager_failover", kwargs, args, parser, out)
-
-    if args.command == "loadstorm":
-        kwargs = {"seed": args.seed, "window_s": args.window,
-                  "rate_per_s": args.rate, "population": args.population,
-                  "arrival": args.arrival, "crash_at_frac": args.crash_at}
-        if args.shards:
-            try:
-                kwargs["shards"] = tuple(int(n) for n in args.shards.split(","))
-            except ValueError:
-                parser.error(f"--shards expects comma-separated integers, got {args.shards!r}")
-        return _run_sweep_command("loadstorm", kwargs, args, parser, out)
+    if getattr(args, "sweep", None):
+        sweep = get_sweep(args.sweep)
+        kwargs = {param.name: getattr(args, param.name) for param in sweep.params
+                  if param.flag is not None and hasattr(args, param.name)}
+        kwargs["seed"] = args.seed
+        return _run_sweep_command(sweep.name, kwargs, args, parser, out)
 
     if args.command == "certify":
         if args.budget < 1:
@@ -639,30 +521,12 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
             out(f"[json -> {args.json_out}]")
         return 0 if report.ok else 1
 
-    if args.command == "autoscale":
-        kwargs = {"seed": args.seed, "window_s": args.window}
-        if args.loads:
-            try:
-                kwargs["loads"] = tuple(float(l) for l in args.loads.split(","))
-            except ValueError:
-                parser.error(f"--loads expects comma-separated numbers, got {args.loads!r}")
-        if args.plan:
-            if args.no_crash:
-                parser.error("--plan and --no-crash are mutually exclusive")
-            try:
-                kwargs["plan"] = FaultPlan.load(args.plan)
-            except (OSError, ValueError, TypeError, KeyError) as exc:
-                parser.error(f"cannot load fault plan: {exc}")
-        if args.no_crash:
-            kwargs["crash"] = False
-        return _run_sweep_command("autoscale", kwargs, args, parser, out)
-
     if args.command == "sweep":
         if args.name == "list":
-            names = sweep_names()
-            width = max(len(n) for n in names)
-            for n in names:
-                out(f"{n.ljust(width)}  {get_sweep(n).description}")
+            sweeps = registered_sweeps()
+            width = max(len(n) for n in sweeps)
+            for n, sweep in sweeps.items():
+                out(f"{n.ljust(width)}  {sweep.description}")
             return 0
         kwargs = _parse_overrides(args.set)
         kwargs.setdefault("seed", args.seed)

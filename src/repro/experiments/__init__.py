@@ -1,33 +1,27 @@
-"""Experiment harness: one module per paper table/figure.
+"""Experiment harness: one module per paper table/figure, plus the sweeps.
 
-Each module exposes ``run(...) -> result`` and ``format_report(result)``;
-the benchmark suite (``benchmarks/``) executes them and prints the same
-rows/series the paper reports.  See DESIGN.md for the experiment index.
+Each figure/table module (``fig07_latency``, ``tab03_idle_node``, ...)
+exposes ``run(...) -> result`` and ``format_report(result)``; the
+benchmark suite (``benchmarks/``) and ``repro run <name>`` execute them
+and print the same rows/series the paper reports.  See DESIGN.md for the
+experiment index.  They are imported on demand, not here, so a sweep
+never pays for a figure's dependencies.
 
-The sweep-shaped experiments additionally implement the
-:mod:`repro.experiments.base` protocol — ``plan_scenarios(...)`` /
-``scenario(params, seed)`` / ``assemble(points, meta)`` — and register
-themselves so :func:`repro.sweep.run_sweep` can fan their scenarios out
-across a process pool (``repro <sweep> --jobs N``).
+The sweep modules each declare one :class:`~repro.experiments.base.Sweep`
+— a module-level ``scenario(params, seed)``, a ``Point`` dataclass, and
+the parameter list, axis and report columns — and register it at import
+time, so importing this package fills the registry behind
+:func:`repro.sweep.run_sweep` and the ``repro <sweep>`` subcommands.
 """
 
 from . import (
     base,
     autoscale_sweep,
     chaos_sweep,
-    fig01_utilization,
-    fig07_latency,
-    fig08_storage,
-    fig09_cpu_sharing,
-    fig10_utilization,
-    fig11_memory_sharing,
-    fig12_gpu_sharing,
-    fig13_offloading,
     gpu_scaling_sweep,
     loadstorm_sweep,
     manager_failover_sweep,
     memdurability_sweep,
-    tab03_idle_node,
 )
 
 __all__ = [
@@ -38,13 +32,4 @@ __all__ = [
     "loadstorm_sweep",
     "manager_failover_sweep",
     "memdurability_sweep",
-    "fig01_utilization",
-    "fig07_latency",
-    "fig08_storage",
-    "fig09_cpu_sharing",
-    "fig10_utilization",
-    "fig11_memory_sharing",
-    "fig12_gpu_sharing",
-    "fig13_offloading",
-    "tab03_idle_node",
 ]

@@ -24,19 +24,18 @@ Fully deterministic: same seed ⇒ identical JSON (asserted across fresh
 interpreters by ``tests/capacity/test_autoscale_determinism.py``).
 
 Sweep protocol: :func:`scenario` is a pure module-level function of
-``(params, seed)``; :func:`plan_scenarios` / :func:`assemble` are
-registered as the ``autoscale`` sweep and :func:`run` is the serial
-shim over them (``repro autoscale --jobs N`` fans scenarios out).
+``(params, seed)``; ``SWEEP`` declares the ``autoscale`` sweep and
+:func:`run` is its serial path (``repro autoscale --jobs N`` fans
+scenarios out).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..analysis.tables import render_table
 from ..api import ClusterSpec, Platform
 from ..capacity import (
     AdmissionConfig,
@@ -48,19 +47,9 @@ from ..containers import Image
 from ..faults import FaultPlan
 from ..interference import ResourceDemand
 from ..telemetry import NULL_TELEMETRY, telemetry_of
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep, result_to_json
+from .base import Param, Sweep, register_sweep
 
-__all__ = [
-    "AutoscalePoint",
-    "AutoscaleResult",
-    "default_crash_plan",
-    "scenario",
-    "plan_scenarios",
-    "assemble",
-    "run",
-    "format_report",
-    "SWEEP",
-]
+__all__ = ["AutoscalePoint", "default_crash_plan", "scenario", "run", "SWEEP"]
 
 MiB = 1024**2
 GiB = 1024**3
@@ -101,47 +90,6 @@ class AutoscalePoint:
     @property
     def burst_fraction(self) -> float:
         return self.bursts / self.invocations if self.invocations else 0.0
-
-
-@dataclass
-class AutoscaleResult:
-    points: list[AutoscalePoint] = field(default_factory=list)
-    window_s: float = 0.0
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "window_s": self.window_s,
-            "seed": self.seed,
-            "points": [asdict(p) for p in self.points],
-        }
-
-    def to_json(self) -> str:
-        return result_to_json(self)
-
-    def format_report(self) -> str:
-        rows = []
-        for p in self.points:
-            rows.append([
-                f"{p.load:g}x", p.mode, p.invocations,
-                p.completed, p.bursts, p.rejected,
-                f"{p.warm_start_rate * 100:.1f}%",
-                p.prewarms,
-                f"{p.p50_ms:.3f}", f"{p.p99_ms:.3f}",
-                f"{p.burst_fraction * 100:.1f}%",
-                f"{p.burst_cost:.6f}",
-            ])
-        table = render_table(
-            ["load", "mode", "arrivals", "hpc", "cloud", "rejected", "warm",
-             "prewarms", "p50 (ms)", "p99 (ms)", "burst", "burst cost"],
-            rows,
-            title=(f"Autoscale sweep — predictive vs reactive warm pools "
-                   f"({self.window_s:g}s window)"),
-        )
-        return table + (
-            "\nEvery arrival is accounted for: served on harvested HPC cores,"
-            " overflowed to the cloud (billed), or explicitly rejected."
-        )
 
 
 def default_crash_plan(window_s: float) -> FaultPlan:
@@ -273,7 +221,7 @@ def scenario(params: dict, seed: int) -> dict:
     waits = [r.queue_wait_s for r in served]
     invocation_colds = sum(1 for r in hpc if r.startup_kind == "cold")
     registry = platform.telemetry.metrics
-    faults = sum(m.value for m in registry if m.name == "repro_faults_injected_total")
+    faults = registry.total("repro_faults_injected_total")
     return asdict(AutoscalePoint(
         load=load,
         mode="predictive" if predictive else "reactive",
@@ -292,89 +240,52 @@ def scenario(params: dict, seed: int) -> dict:
     ))
 
 
-def plan_scenarios(
-    loads=DEFAULT_LOADS,
-    window_s: float = 20.0,
-    seed: int = 0,
-    runtime_s: float = 0.15,
-    payload_bytes: int = 1024,
-    tenants: int = 10,
-    base_rate_per_s: float = DEFAULT_RATE,
-    crash: bool = True,
-    plan: Optional[FaultPlan] = None,
-) -> SweepPlan:
-    """Fix the canonical scenario order: each load reactive, then
-    predictive, all replaying the same schedule (and crash storm)."""
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    if tenants < 1:
-        raise ValueError("need at least one tenant")
-    if plan is None and crash:
-        plan = default_crash_plan(window_s)
-    scenarios = []
+def _loads_by_mode(params: dict):
+    """Each load reactive, then predictive, all replaying the same
+    schedule — and, unless ``crash=False`` or an explicit ``plan``
+    overrides it, the same :func:`default_crash_plan` storm."""
+    loads, crash = params.pop("loads"), params.pop("crash")
+    if params["plan"] is None and crash:
+        params["plan"] = default_crash_plan(params["window_s"])
     for load in loads:
-        if load <= 0:
-            raise ValueError("load multipliers must be positive")
-        for predictive in (False, True):
-            scenarios.append(ScenarioSpec(
-                fn=scenario,
-                params={
-                    "load": load,
-                    "predictive": predictive,
-                    "window_s": window_s,
-                    "runtime_s": runtime_s,
-                    "payload_bytes": payload_bytes,
-                    "tenants": tenants,
-                    "base_rate_per_s": base_rate_per_s,
-                    "plan": plan,
-                },
-                seed=seed,
-                label=f"{load:g}x-{'predictive' if predictive else 'reactive'}",
-            ))
-    return SweepPlan(scenarios=tuple(scenarios),
-                     meta={"window_s": window_s, "seed": seed})
-
-
-def assemble(points: list[dict], meta: dict) -> AutoscaleResult:
-    """Rebuild the typed result from point dicts, in plan order."""
-    result = AutoscaleResult(window_s=meta["window_s"], seed=meta["seed"])
-    result.points = [AutoscalePoint(**point) for point in points]
-    return result
-
-
-def run(
-    loads=DEFAULT_LOADS,
-    window_s: float = 20.0,
-    seed: int = 0,
-    runtime_s: float = 0.15,
-    payload_bytes: int = 1024,
-    tenants: int = 10,
-    base_rate_per_s: float = DEFAULT_RATE,
-    crash: bool = True,
-    plan: Optional[FaultPlan] = None,
-) -> AutoscaleResult:
-    """Serial shim over the sweep protocol.
-
-    ``crash=True`` (default) replays :func:`default_crash_plan` in every
-    scenario; pass an explicit ``plan`` to override it, or ``crash=False``
-    for a fault-free sweep.  For multi-core execution use
-    :func:`repro.sweep.run_sweep` (``repro autoscale --jobs N``).
-    """
-    return SWEEP.run_serial(
-        loads=loads, window_s=window_s, seed=seed, runtime_s=runtime_s,
-        payload_bytes=payload_bytes, tenants=tenants,
-        base_rate_per_s=base_rate_per_s, crash=crash, plan=plan,
-    )
-
-
-def format_report(result: AutoscaleResult) -> str:
-    return result.format_report()
+        for mode in ("reactive", "predictive"):
+            yield f"{load:g}x-{mode}", {**params, "load": load,
+                                        "predictive": mode == "predictive"}
 
 
 SWEEP = register_sweep(Sweep(
     name="autoscale",
     description="predictive vs reactive warm pools under load",
-    plan=plan_scenarios,
-    assemble=assemble,
-    result_type=AutoscaleResult,
+    scenario=scenario,
+    point=AutoscalePoint,
+    axis=_loads_by_mode,
+    params=(
+        Param("loads", DEFAULT_LOADS, "--loads", metavar="L1,L2,...",
+              positive=True,
+              help="comma-separated load multipliers (default 1,4,16)"),
+        Param("window_s", 20.0, "--window", metavar="SECONDS", positive=True,
+              help="simulated arrival window per scenario"),
+        Param("runtime_s", 0.15),
+        Param("payload_bytes", 1024),
+        Param("tenants", 10, positive=True),
+        Param("base_rate_per_s", DEFAULT_RATE),
+        Param("crash", True, "--no-crash", group="plan",
+              help="disable the default node-crash storm"),
+        Param("plan", None, "--plan", metavar="FILE", parse=FaultPlan.load,
+              group="plan",
+              help="JSON FaultPlan to replay (instead of the built-in crash storm)"),
+    ),
+    meta=("window_s",),
+    title="Autoscale sweep — predictive vs reactive warm pools ({window_s:g}s window)",
+    columns=(
+        ("load", "{p.load:g}x"), ("mode", "{p.mode}"),
+        ("arrivals", "{p.invocations}"), ("hpc", "{p.completed}"),
+        ("cloud", "{p.bursts}"), ("rejected", "{p.rejected}"),
+        ("warm", "{p.warm_start_rate:.1%}"), ("prewarms", "{p.prewarms}"),
+        ("p50 (ms)", "{p.p50_ms:.3f}"), ("p99 (ms)", "{p.p99_ms:.3f}"),
+        ("burst", "{p.burst_fraction:.1%}"), ("burst cost", "{p.burst_cost:.6f}"),
+    ),
+    footer="Every arrival is accounted for: served on harvested HPC cores,"
+           " overflowed to the cloud (billed), or explicitly rejected.",
 ))
+run = SWEEP.run_serial

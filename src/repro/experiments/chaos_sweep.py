@@ -20,19 +20,19 @@ fault schedule, victims, and recovery trace — asserted byte-for-byte by
 
 Sweep protocol: :func:`scenario` is a pure module-level function of
 ``(params, seed)`` so scenarios cross the process-pool boundary of
-:func:`repro.sweep.run_sweep`; :func:`plan_scenarios` /
-:func:`assemble` are registered as the ``chaos`` sweep and
-:func:`run` is the serial shim over them.
+:func:`repro.sweep.run_sweep`; ``SWEEP`` declares the ``chaos`` sweep
+(``repro chaos``) and :func:`run` is its serial path.  Pass ``plan=`` to
+replay one explicit :class:`FaultPlan` instead of the rate sweep, and
+``memservice=True`` to co-run a remote-paging stream on a replicated
+(k=2) memory service, so the same storms also hit durable-memory chunks.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..analysis.tables import render_table
 from ..api import ClusterSpec, Platform
 from ..containers import Image
 from ..faults import FaultPlan, RecoveryOutcome, RetryPolicy
@@ -40,19 +40,9 @@ from ..interference import ResourceDemand
 from ..memservice import DurableMemoryConfig, RemotePager
 from ..rfaas.errors import DataLossError, MemoryServiceUnavailable
 from ..telemetry import NULL_TELEMETRY, telemetry_of
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep, result_to_json
+from .base import Param, Sweep, register_sweep
 
-__all__ = [
-    "ChaosPoint",
-    "ChaosResult",
-    "default_plan",
-    "scenario",
-    "plan_scenarios",
-    "assemble",
-    "run",
-    "format_report",
-    "SWEEP",
-]
+__all__ = ["ChaosPoint", "default_plan", "scenario", "run", "SWEEP"]
 
 MiB = 1024**2
 GiB = 1024**3
@@ -88,43 +78,9 @@ class ChaosPoint:
     def completion_ratio(self) -> float:
         return self.completed / self.invocations if self.invocations else 0.0
 
-
-@dataclass
-class ChaosResult:
-    points: list[ChaosPoint] = field(default_factory=list)
-    window_s: float = 0.0
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "window_s": self.window_s,
-            "seed": self.seed,
-            "points": [asdict(p) for p in self.points],
-        }
-
-    def to_json(self) -> str:
-        return result_to_json(self)
-
-    def format_report(self) -> str:
-        rows = []
-        for p in self.points:
-            rows.append([
-                p.label, p.faults_injected, p.invocations,
-                f"{p.completion_ratio * 100:.1f}%",
-                f"{p.p50_ms:.3f}", f"{p.p95_ms:.3f}",
-                p.retries, p.recovered, p.gave_up + p.rejected + p.timed_out,
-                f"{p.mean_recovery_ms:.3f}",
-            ])
-        table = render_table(
-            ["plan", "faults", "invocations", "completed", "p50 (ms)", "p95 (ms)",
-             "retries", "recovered", "failed", "recovery (ms)"],
-            rows,
-            title=f"Chaos sweep — noop latency under faults ({self.window_s:g}s window)",
-        )
-        return table + (
-            "\nReclamation is routine, not fatal: retries keep completion high"
-            " while faults tax the tail."
-        )
+    @property
+    def failed(self) -> int:
+        return self.gave_up + self.rejected + self.timed_out
 
 
 def default_plan(rate: float, window_s: float, name: str = "") -> FaultPlan:
@@ -153,10 +109,6 @@ def default_plan(rate: float, window_s: float, name: str = "") -> FaultPlan:
         else:
             plan.warmpool_pressure(at_s=at, fraction=0.5)
     return plan
-
-
-def _metric_sum(registry, name: str) -> float:
-    return sum(m.value for m in registry if m.name == name)
 
 
 def _invocation_stream(env, client, outcomes, window_s: float,
@@ -247,12 +199,12 @@ def scenario(params: dict, seed: int) -> dict:
     recovery_hist = registry.get("repro_faults_recovery_seconds")
     return asdict(ChaosPoint(
         label=plan.name,
-        faults_injected=int(_metric_sum(registry, "repro_faults_injected_total")),
+        faults_injected=int(registry.total("repro_faults_injected_total")),
         invocations=len(outcomes),
         completed=sum(1 for d in outcomes if d.ok),
         p50_ms=p50 * 1e3,
         p95_ms=p95 * 1e3,
-        retries=int(_metric_sum(registry, "repro_faults_retries_total")),
+        retries=int(registry.total("repro_faults_retries_total")),
         recovered=sum(1 for d in outcomes if d.outcome is RecoveryOutcome.RECOVERED),
         gave_up=sum(1 for d in outcomes if d.outcome is RecoveryOutcome.GAVE_UP),
         rejected=sum(1 for d in outcomes if d.outcome is RecoveryOutcome.REJECTED),
@@ -262,80 +214,49 @@ def scenario(params: dict, seed: int) -> dict:
     ))
 
 
-def plan_scenarios(
-    rates=DEFAULT_RATES,
-    window_s: float = 30.0,
-    seed: int = 0,
-    runtime_s: float = 0.02,
-    payload_bytes: int = 1024,
-    streams: int = 2,
-    plan: Optional[FaultPlan] = None,
-    memservice: bool = False,
-) -> SweepPlan:
-    """Fix the canonical scenario order (and each scenario's seed)."""
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
+def _fault_plans(params: dict):
+    """One scenario per rate's :func:`default_plan` — or the single
+    explicit ``plan``; every scenario shares the run seed."""
+    rates, plan = params.pop("rates"), params.pop("plan")
     plans = ([plan] if plan is not None
-             else [default_plan(rate, window_s) for rate in rates])
-    scenarios = tuple(
-        ScenarioSpec(
-            fn=scenario,
-            params={
-                "plan": scenario_plan,
-                "window_s": window_s,
-                "runtime_s": runtime_s,
-                "payload_bytes": payload_bytes,
-                "streams": streams,
-                "memservice": memservice,
-            },
-            seed=seed,
-            label=scenario_plan.name,
-        )
-        for scenario_plan in plans
-    )
-    return SweepPlan(scenarios=scenarios,
-                     meta={"window_s": window_s, "seed": seed})
-
-
-def assemble(points: list[dict], meta: dict) -> ChaosResult:
-    """Rebuild the typed result from point dicts, in plan order."""
-    result = ChaosResult(window_s=meta["window_s"], seed=meta["seed"])
-    result.points = [ChaosPoint(**point) for point in points]
-    return result
-
-
-def run(
-    rates=DEFAULT_RATES,
-    window_s: float = 30.0,
-    seed: int = 0,
-    runtime_s: float = 0.02,
-    payload_bytes: int = 1024,
-    streams: int = 2,
-    plan: FaultPlan = None,
-    memservice: bool = False,
-) -> ChaosResult:
-    """Serial shim over the sweep protocol; pass ``plan`` for one plan.
-
-    ``memservice=True`` co-runs a remote-paging stream on a replicated
-    (k=2) memory service, so the same storms also hit durable-memory
-    chunks (``repro chaos --memservice``).  For multi-core execution
-    use :func:`repro.sweep.run_sweep` (``repro chaos --jobs N``).
-    """
-    return SWEEP.run_serial(
-        rates=rates, window_s=window_s, seed=seed, runtime_s=runtime_s,
-        payload_bytes=payload_bytes, streams=streams, plan=plan,
-        memservice=memservice,
-    )
-
-
-def format_report(result: ChaosResult) -> str:
-    return result.format_report()
+             else [default_plan(rate, params["window_s"]) for rate in rates])
+    for scenario_plan in plans:
+        yield scenario_plan.name, {**params, "plan": scenario_plan}
 
 
 SWEEP = register_sweep(Sweep(
     name="chaos",
     description="invocation latency under injected faults",
-    plan=plan_scenarios,
-    assemble=assemble,
-    result_type=ChaosResult,
+    scenario=scenario,
+    point=ChaosPoint,
+    axis=_fault_plans,
+    params=(
+        Param("rates", DEFAULT_RATES, "--rates", metavar="R1,R2,...",
+              help="comma-separated fault rates (events per simulated minute)",
+              group="plan"),
+        Param("window_s", 30.0, "--window", metavar="SECONDS", positive=True,
+              help="simulated measurement window per scenario"),
+        Param("runtime_s", 0.02),
+        Param("payload_bytes", 1024),
+        Param("streams", 2),
+        Param("plan", None, "--plan", metavar="FILE", parse=FaultPlan.load,
+              help="JSON FaultPlan to replay (instead of the built-in rate sweep)",
+              group="plan"),
+        Param("memservice", False, "--memservice",
+              help="co-run a remote-paging stream on a replicated (k=2) memory "
+                   "service, so the storm also exercises durable-memory failover"),
+    ),
+    meta=("window_s",),
+    title="Chaos sweep — noop latency under faults ({window_s:g}s window)",
+    columns=(
+        ("plan", "{p.label}"), ("faults", "{p.faults_injected}"),
+        ("invocations", "{p.invocations}"),
+        ("completed", "{p.completion_ratio:.1%}"),
+        ("p50 (ms)", "{p.p50_ms:.3f}"), ("p95 (ms)", "{p.p95_ms:.3f}"),
+        ("retries", "{p.retries}"), ("recovered", "{p.recovered}"),
+        ("failed", "{p.failed}"), ("recovery (ms)", "{p.mean_recovery_ms:.3f}"),
+    ),
+    footer="Reclamation is routine, not fatal: retries keep completion high"
+           " while faults tax the tail.",
 ))
+run = SWEEP.run_serial

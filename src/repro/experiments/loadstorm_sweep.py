@@ -29,16 +29,16 @@ The no-silent-drops invariant is enforced globally at every point:
 Sweep protocol: :func:`scenario` is a pure module-level function of
 ``(params, seed)``; all points share one seed so the trace is identical
 at every shard count, and ``repro loadstorm --jobs N`` is byte-identical
-to the serial run.
+to the serial run.  ``SWEEP`` declares the sweep and :func:`run` is its
+serial path.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..analysis.tables import render_table
 from ..capacity.admission import AdmissionConfig, AdmissionController, TenantQuota
 from ..cluster.machine import Cluster
 from ..cluster.specs import DAINT_MC
@@ -54,18 +54,9 @@ from ..rfaas.errors import (
 from ..shard import ShardConfig, ShardedControlPlane
 from ..sim.engine import Environment
 from ..telemetry import NULL_TELEMETRY, Telemetry, telemetry_of
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep, result_to_json
+from .base import Param, Sweep, register_sweep, walk
 
-__all__ = [
-    "LoadstormPoint",
-    "LoadstormResult",
-    "scenario",
-    "plan_scenarios",
-    "assemble",
-    "run",
-    "format_report",
-    "SWEEP",
-]
+__all__ = ["LoadstormPoint", "scenario", "run", "SWEEP"]
 
 GiB = 1024**3
 
@@ -111,53 +102,9 @@ class LoadstormPoint:
     def completion_ratio(self) -> float:
         return self.completed / self.admitted if self.admitted else 0.0
 
-
-@dataclass
-class LoadstormResult:
-    points: list[LoadstormPoint] = field(default_factory=list)
-    window_s: float = 0.0
-    rate_per_s: float = 0.0
-    population: int = 0
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "window_s": self.window_s,
-            "rate_per_s": self.rate_per_s,
-            "population": self.population,
-            "seed": self.seed,
-            "points": [asdict(p) for p in self.points],
-        }
-
-    def to_json(self) -> str:
-        return result_to_json(self)
-
-    def format_report(self) -> str:
-        rows = []
-        for p in self.points:
-            rows.append([
-                p.label, p.admitted, p.completed, p.rejected, p.degraded,
-                f"{p.throughput_rps:.0f}",
-                f"{p.p50_ms:.2f}", f"{p.p99_ms:.2f}",
-                p.batches, f"{p.mean_batch_ops:.1f}", p.migrations,
-                "PASS" if p.conservation_ok else "FAIL",
-            ])
-        table = render_table(
-            ["shards", "admitted", "completed", "rejected", "degraded",
-             "thr (req/s)", "p50 (ms)", "p99 (ms)", "batches", "ops/batch",
-             "migrations", "conserved"],
-            rows,
-            title=(f"Load storm — {self.population:,} clients, "
-                   f"{self.rate_per_s:g} req/s open loop over "
-                   f"{self.window_s:g}s, vs control-plane shards"),
-        )
-        return table + (
-            "\nOne shard is a serialization point: the open-loop storm piles"
-            " up in its batch queue as tail latency.  Sharding the plane"
-            " spreads tenants by consistent hash; p99 collapses while the"
-            " conservation ledger (admitted = completed + rejected +"
-            " degraded, every op applied or failed) holds at every point."
-        )
+    @property
+    def conserved(self) -> str:
+        return "PASS" if self.conservation_ok else "FAIL"
 
 
 def _arrival_handler(env, plane, admission, tenant: str, at_s: float,
@@ -321,93 +268,48 @@ def scenario(params: dict, seed: int) -> dict:
     ))
 
 
-def plan_scenarios(
-    shards=DEFAULT_SHARDS,
-    window_s: float = 8.0,
-    rate_per_s: float = 3000.0,
-    population: int = 1_200_000,
-    zipf_s: float = 1.1,
-    service_s: float = 0.05,
-    arrival: str = "poisson",
-    nodes: int = 16,
-    cores_per_node: int = 24,
-    max_batch: int = 32,
-    crash_at_frac: float = 0.0,
-    seed: int = 0,
-) -> SweepPlan:
-    """Fix the canonical scenario order; one seed -> one shared trace."""
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    if arrival not in ("poisson", "mmpp"):
-        raise ValueError("arrival must be 'poisson' or 'mmpp'")
-    scenarios = tuple(
-        ScenarioSpec(
-            fn=scenario,
-            params={
-                "shards": n,
-                "window_s": window_s,
-                "rate_per_s": rate_per_s,
-                "population": population,
-                "zipf_s": zipf_s,
-                "service_s": service_s,
-                "arrival": arrival,
-                "nodes": nodes,
-                "cores_per_node": cores_per_node,
-                "max_batch": max_batch,
-                "crash_at_frac": crash_at_frac,
-            },
-            seed=seed,
-            label=f"shards={n}",
-        )
-        for n in shards
-    )
-    return SweepPlan(scenarios=scenarios, meta={
-        "window_s": window_s, "rate_per_s": rate_per_s,
-        "population": population, "seed": seed,
-    })
-
-
-def assemble(points: list[dict], meta: dict) -> LoadstormResult:
-    """Rebuild the typed result from point dicts, in plan order."""
-    result = LoadstormResult(
-        window_s=meta["window_s"], rate_per_s=meta["rate_per_s"],
-        population=meta["population"], seed=meta["seed"],
-    )
-    result.points = [LoadstormPoint(**point) for point in points]
-    return result
-
-
-def run(
-    shards=DEFAULT_SHARDS,
-    window_s: float = 8.0,
-    rate_per_s: float = 3000.0,
-    population: int = 1_200_000,
-    zipf_s: float = 1.1,
-    service_s: float = 0.05,
-    arrival: str = "poisson",
-    nodes: int = 16,
-    cores_per_node: int = 24,
-    max_batch: int = 32,
-    crash_at_frac: float = 0.0,
-    seed: int = 0,
-) -> LoadstormResult:
-    """Serial shim over the sweep protocol (``repro loadstorm``)."""
-    return SWEEP.run_serial(
-        shards=shards, window_s=window_s, rate_per_s=rate_per_s,
-        population=population, zipf_s=zipf_s, service_s=service_s, arrival=arrival,
-        nodes=nodes, cores_per_node=cores_per_node, max_batch=max_batch,
-        crash_at_frac=crash_at_frac, seed=seed,
-    )
-
-
-def format_report(result: LoadstormResult) -> str:
-    return result.format_report()
-
-
 SWEEP = register_sweep(Sweep(
     name="loadstorm",
     description="open-loop million-client lease churn vs control-plane shards",
-    plan=plan_scenarios,
-    assemble=assemble,
-    result_type=LoadstormResult,
+    scenario=scenario,
+    point=LoadstormPoint,
+    axis=walk("shards", "shards", "shards={}"),
+    params=(
+        Param("shards", DEFAULT_SHARDS, "--shards", metavar="N1,N2,...",
+              help="comma-separated shard counts (default 1,2,4,8)"),
+        Param("window_s", 8.0, "--window", metavar="SECONDS", positive=True,
+              help="simulated arrival window per shard count"),
+        Param("rate_per_s", 3000.0, "--rate", metavar="REQ_PER_S",
+              help="open-loop arrival rate (default 3000)"),
+        Param("population", 1_200_000, "--population", metavar="N",
+              help="synthetic tenant population behind the Zipf mix "
+                   "(default 1.2M)"),
+        Param("zipf_s", 1.1),
+        Param("service_s", 0.05),
+        Param("arrival", "poisson", "--arrival", choices=("poisson", "mmpp"),
+              help="arrival process (default poisson)"),
+        Param("nodes", 16),
+        Param("cores_per_node", 24),
+        Param("max_batch", 32),
+        Param("crash_at_frac", 0.0, "--crash-at", metavar="FRACTION",
+              help="crash the last shard at this fraction of the window "
+                   "(0 disables; default 0)"),
+    ),
+    meta=("window_s", "rate_per_s", "population"),
+    title="Load storm — {population:,} clients, {rate_per_s:g} req/s open loop"
+          " over {window_s:g}s, vs control-plane shards",
+    columns=(
+        ("shards", "{p.label}"), ("admitted", "{p.admitted}"),
+        ("completed", "{p.completed}"), ("rejected", "{p.rejected}"),
+        ("degraded", "{p.degraded}"), ("thr (req/s)", "{p.throughput_rps:.0f}"),
+        ("p50 (ms)", "{p.p50_ms:.2f}"), ("p99 (ms)", "{p.p99_ms:.2f}"),
+        ("batches", "{p.batches}"), ("ops/batch", "{p.mean_batch_ops:.1f}"),
+        ("migrations", "{p.migrations}"), ("conserved", "{p.conserved}"),
+    ),
+    footer="One shard is a serialization point: the open-loop storm piles"
+           " up in its batch queue as tail latency.  Sharding the plane"
+           " spreads tenants by consistent hash; p99 collapses while the"
+           " conservation ledger (admitted = completed + rejected +"
+           " degraded, every op applied or failed) holds at every point.",
 ))
+run = SWEEP.run_serial

@@ -18,17 +18,17 @@ cost.  Every scenario also replays the chaos-certification invariants
 grants, one primary per epoch, monotone epochs, no silent drops.
 
 Sweep protocol: :func:`scenario` is a pure module-level function of
-``(params, seed)``; registered as the ``manager_failover`` sweep, so
-``repro managerha --jobs N`` is byte-identical at any jobs count.
+``(params, seed)``; ``SWEEP`` declares the ``manager_failover`` sweep
+(``repro managerha``, byte-identical at any ``--jobs`` count) and
+:func:`run` is its serial path.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..analysis.tables import render_table
 from ..api import ClusterSpec, Platform
 from ..containers import Image
 from ..controlplane import HAConfig
@@ -43,19 +43,9 @@ from ..faults import (
 )
 from ..interference import ResourceDemand
 from ..telemetry import NULL_TELEMETRY, telemetry_of
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep, result_to_json
+from .base import Param, Sweep, register_sweep, walk
 
-__all__ = [
-    "FailoverPoint",
-    "FailoverResult",
-    "default_plan",
-    "scenario",
-    "plan_scenarios",
-    "assemble",
-    "run",
-    "format_report",
-    "SWEEP",
-]
+__all__ = ["FailoverPoint", "default_plan", "scenario", "run", "SWEEP"]
 
 MiB = 1024**2
 GiB = 1024**3
@@ -93,46 +83,9 @@ class FailoverPoint:
     def completion_ratio(self) -> float:
         return self.completed / self.invocations if self.invocations else 0.0
 
-
-@dataclass
-class FailoverResult:
-    points: list[FailoverPoint] = field(default_factory=list)
-    window_s: float = 0.0
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "window_s": self.window_s,
-            "seed": self.seed,
-            "points": [asdict(p) for p in self.points],
-        }
-
-    def to_json(self) -> str:
-        return result_to_json(self)
-
-    def format_report(self) -> str:
-        rows = []
-        for p in self.points:
-            rows.append([
-                p.label, p.invocations,
-                f"{p.completion_ratio * 100:.1f}%",
-                f"{p.p50_ms:.3f}", f"{p.p99_ms:.3f}",
-                p.manager_down_retries, p.failovers, p.epochs,
-                p.fenced_grants, p.orphaned_leases,
-                "PASS" if p.invariants_ok else "FAIL",
-            ])
-        table = render_table(
-            ["standbys", "invocations", "completed", "p50 (ms)", "p99 (ms)",
-             "mgr retries", "failovers", "epochs", "fenced", "orphaned",
-             "invariants"],
-            rows,
-            title=(f"Manager failover — lease storms through primary "
-                   f"crash + partition ({self.window_s:g}s window)"),
-        )
-        return table + (
-            "\nWith zero standbys the crash orphans every lease; one standby"
-            " turns the outage into tail latency."
-        )
+    @property
+    def verdict(self) -> str:
+        return "PASS" if self.invariants_ok else "FAIL"
 
 
 def default_plan(window_s: float, name: str = "managerha") -> FaultPlan:
@@ -151,12 +104,6 @@ def default_plan(window_s: float, name: str = "managerha") -> FaultPlan:
             .manager_partition(at_s=0.55 * window_s, duration_s=0.12 * window_s)
             .node_crash(at_s=0.8 * window_s, duration_s=0.1 * window_s,
                         immediate=True))
-
-
-def _metric_sum(registry, name: str, **labels) -> float:
-    wanted = set(labels.items())
-    return sum(m.value for m in registry
-               if m.name == name and wanted <= set(m.labels))
 
 
 def _invocation_stream(env, client, outcomes, started, window_s: float,
@@ -235,15 +182,14 @@ def scenario(params: dict, seed: int) -> dict:
         completed=sum(1 for d in outcomes if d.ok),
         p50_ms=p50 * 1e3,
         p99_ms=p99 * 1e3,
-        manager_down_retries=int(_metric_sum(
-            registry, "repro_faults_retries_total", reason="manager_down")),
-        failovers=int(_metric_sum(
-            registry, "repro_controlplane_failovers_total")),
+        manager_down_retries=int(registry.total(
+            "repro_faults_retries_total", reason="manager_down")),
+        failovers=int(registry.total("repro_controlplane_failovers_total")),
         epochs=ha.epoch,
-        fenced_grants=int(_metric_sum(
-            registry, "repro_controlplane_fenced_grants_total")),
-        orphaned_leases=int(_metric_sum(
-            registry, "repro_controlplane_orphaned_leases_total")),
+        fenced_grants=int(registry.total(
+            "repro_controlplane_fenced_grants_total")),
+        orphaned_leases=int(registry.total(
+            "repro_controlplane_orphaned_leases_total")),
         recovered=sum(1 for d in outcomes
                       if d.outcome is RecoveryOutcome.RECOVERED),
         rejected=sum(1 for d in outcomes
@@ -252,73 +198,37 @@ def scenario(params: dict, seed: int) -> dict:
     ))
 
 
-def plan_scenarios(
-    standbys=DEFAULT_STANDBYS,
-    window_s: float = 20.0,
-    seed: int = 0,
-    runtime_s: float = 0.02,
-    payload_bytes: int = 1024,
-    streams: int = 3,
-    heartbeat_interval_s: float = 0.1,
-    suspect_after: int = 3,
-) -> SweepPlan:
-    """Fix the canonical scenario order (and each scenario's seed)."""
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    scenarios = tuple(
-        ScenarioSpec(
-            fn=scenario,
-            params={
-                "standbys": k,
-                "window_s": window_s,
-                "runtime_s": runtime_s,
-                "payload_bytes": payload_bytes,
-                "streams": streams,
-                "heartbeat_interval_s": heartbeat_interval_s,
-                "suspect_after": suspect_after,
-            },
-            seed=seed,
-            label=f"k={k}",
-        )
-        for k in standbys
-    )
-    return SweepPlan(scenarios=scenarios,
-                     meta={"window_s": window_s, "seed": seed})
-
-
-def assemble(points: list[dict], meta: dict) -> FailoverResult:
-    """Rebuild the typed result from point dicts, in plan order."""
-    result = FailoverResult(window_s=meta["window_s"], seed=meta["seed"])
-    result.points = [FailoverPoint(**point) for point in points]
-    return result
-
-
-def run(
-    standbys=DEFAULT_STANDBYS,
-    window_s: float = 20.0,
-    seed: int = 0,
-    runtime_s: float = 0.02,
-    payload_bytes: int = 1024,
-    streams: int = 3,
-    heartbeat_interval_s: float = 0.1,
-    suspect_after: int = 3,
-) -> FailoverResult:
-    """Serial shim over the sweep protocol (``repro managerha``)."""
-    return SWEEP.run_serial(
-        standbys=standbys, window_s=window_s, seed=seed, runtime_s=runtime_s,
-        payload_bytes=payload_bytes, streams=streams,
-        heartbeat_interval_s=heartbeat_interval_s, suspect_after=suspect_after,
-    )
-
-
-def format_report(result: FailoverResult) -> str:
-    return result.format_report()
-
-
 SWEEP = register_sweep(Sweep(
     name="manager_failover",
     description="completion through manager crash/partition, by standby count",
-    plan=plan_scenarios,
-    assemble=assemble,
-    result_type=FailoverResult,
+    scenario=scenario,
+    point=FailoverPoint,
+    axis=walk("standbys", "standbys", "k={}"),
+    params=(
+        Param("standbys", DEFAULT_STANDBYS, "--standbys", metavar="K1,K2,...",
+              help="comma-separated standby counts (default 0,1,2)"),
+        Param("window_s", 20.0, "--window", metavar="SECONDS", positive=True,
+              help="simulated measurement window per standby count"),
+        Param("runtime_s", 0.02),
+        Param("payload_bytes", 1024),
+        Param("streams", 3),
+        Param("heartbeat_interval_s", 0.1),
+        Param("suspect_after", 3),
+    ),
+    meta=("window_s",),
+    title="Manager failover — lease storms through primary crash + partition"
+          " ({window_s:g}s window)",
+    columns=(
+        ("standbys", "{p.label}"), ("invocations", "{p.invocations}"),
+        ("completed", "{p.completion_ratio:.1%}"),
+        ("p50 (ms)", "{p.p50_ms:.3f}"), ("p99 (ms)", "{p.p99_ms:.3f}"),
+        ("mgr retries", "{p.manager_down_retries}"),
+        ("failovers", "{p.failovers}"), ("epochs", "{p.epochs}"),
+        ("fenced", "{p.fenced_grants}"), ("orphaned", "{p.orphaned_leases}"),
+        ("invariants", "{p.verdict}"),
+    ),
+    footer="With zero standbys the crash orphans every lease; one standby"
+           " turns the outage into tail latency.",
+    command="managerha",
 ))
+run = SWEEP.run_serial

@@ -28,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..rfaas.errors import ManagerUnavailableError
+from ..cluster.node import AllocationError
+from ..rfaas.errors import ManagerUnavailableError, StaleEpochError
 from ..sim.engine import Environment, Process
 from ..telemetry import telemetry_of
 from .plan import FaultEvent, FaultKind, FaultPlan
@@ -175,9 +176,11 @@ class Injector:
             return  # someone else brought it back
         try:
             self.manager.register_node(**registration)
-        except Exception:
+        except (AllocationError, ManagerUnavailableError, StaleEpochError):
             # The batch system took the capacity while the node was
-            # down; the crash becomes permanent for this run.
+            # down, or the (HA) control plane could not accept the
+            # registration; the crash becomes permanent for this run.
+            # Anything else is a bug and propagates.
             self._tracer.instant("fault.recovery_failed", track="faults", node=node)
             return
         self._m_recoveries.inc()

@@ -237,10 +237,18 @@ class ShardedControlPlane:
     # -- node pool ---------------------------------------------------------------
     def register_node(self, node_name: str, cores: int, memory_bytes: int,
                       gpus: int = 0, shard: Optional[int] = None, **kwargs):
-        """Add spare capacity; spreads across shards least-cores-first."""
+        """Add spare capacity; spreads across shards least-cores-first.
+
+        Raises :class:`ManagerUnavailableError` when every shard is down.
+        """
         if shard is None:
+            available = [s for s in self.shards if s.available]
+            if not available:
+                raise ManagerUnavailableError(
+                    f"no shard is up to register {node_name}", cause="crash",
+                )
             shard = min(
-                (s for s in self.shards if s.available),
+                available,
                 key=lambda s: (s.manager.total_registered_cores(), s.index),
             ).index
         registered = self.shards[shard].manager.register_node(

@@ -46,12 +46,12 @@ import os
 import traceback
 from typing import Any, Dict, List, Optional, Union
 
-from .experiments.base import ScenarioSpec, Sweep, get_sweep, registered_sweeps
+from .experiments.base import ScenarioSpec, Sweep, get_sweep
 
 # Importing the experiment package registers every built-in sweep.
 from . import experiments as _experiments  # noqa: F401  (registration side effect)
 
-__all__ = ["SweepScenarioError", "run_sweep", "sweep_names", "stream_part_path"]
+__all__ = ["SweepScenarioError", "run_sweep", "stream_part_path"]
 
 
 class SweepScenarioError(RuntimeError):
@@ -63,11 +63,6 @@ class SweepScenarioError(RuntimeError):
         )
         self.label = label
         self.details = details
-
-
-def sweep_names() -> List[str]:
-    """Registered sweep names, in registration order."""
-    return list(registered_sweeps())
 
 
 def stream_part_path(base_path: str, index: int) -> str:
@@ -153,9 +148,9 @@ def run_sweep(
 
     ``sweep`` is a registry name (``"chaos"``, ``"autoscale"``,
     ``"memdurability"``) or a :class:`~repro.experiments.base.Sweep`;
-    ``kwargs`` are the sweep's ``plan_scenarios`` arguments (the same
-    names the legacy ``run(...)`` shims take).  ``jobs=1`` executes
-    in-process over the identical plan/merge path, so the result —
+    ``kwargs`` are the sweep's declared parameters plus ``seed`` (what
+    ``sweep.plan(...)`` and the module's ``run(...)`` take).  ``jobs=1``
+    executes in-process over the identical plan/merge path, so the result —
     and, with ``stream_spans``, the merged span stream — is
     byte-identical at every jobs count.
 

@@ -230,6 +230,12 @@ class MetricsRegistry:
     def get(self, name: str, labels: Optional[dict] = None) -> Optional[Metric]:
         return self._metrics.get((name, _label_key(labels)))
 
+    def total(self, name: str, **labels: str) -> float:
+        """``name`` summed over every label set that includes ``labels``."""
+        wanted = set(_label_key(labels))
+        return sum(m.value for m in self._metrics.values()
+                   if m.name == name and wanted <= set(m.labels))
+
     def families(self) -> dict[str, list[Metric]]:
         out: dict[str, list[Metric]] = {}
         for metric in self._metrics.values():

@@ -62,7 +62,7 @@ def test_json_round_trip(default_sweep):
 
 
 def test_report_renders(default_sweep):
-    report = autoscale_sweep.format_report(default_sweep)
+    report = default_sweep.format_report()
     assert "predictive" in report and "reactive" in report
     assert "warm" in report and "burst cost" in report
 

@@ -50,6 +50,6 @@ def test_scenario_is_a_pure_function_of_params_and_seed():
 
 
 def test_report_renders_the_tradeoff_table(result):
-    text = gpu_scaling_sweep.format_report(result)
+    text = result.format_report()
     assert "GPU invocation batching" in text
     assert "p99 (ms)" in text and "throughput (r/s)" in text

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.experiments import loadstorm_sweep
-from repro.experiments.loadstorm_sweep import (
-    LoadstormResult,
-    plan_scenarios,
-    scenario,
-)
+from repro.experiments.base import SweepResult
+from repro.experiments.loadstorm_sweep import SWEEP, scenario
 
 #: Small enough for the default suite, large enough to exercise batching.
 SMALL = dict(window_s=2.0, rate_per_s=600.0, population=50_000,
@@ -40,7 +37,7 @@ def test_scenario_is_deterministic():
 
 
 def test_one_seed_is_shared_across_all_points():
-    plan = plan_scenarios(shards=(1, 2, 4), seed=9, **SMALL)
+    plan = SWEEP.plan(shards=(1, 2, 4), seed=9, **SMALL)
     assert [spec.seed for spec in plan.scenarios] == [9, 9, 9]
     assert [spec.label for spec in plan.scenarios] == [
         "shards=1", "shards=2", "shards=4",
@@ -75,10 +72,10 @@ def test_unknown_arrival_kind_is_rejected():
 
 
 def test_assemble_rebuilds_the_typed_result_in_plan_order():
-    plan = plan_scenarios(shards=(2, 1), seed=0, **SMALL)
+    plan = SWEEP.plan(shards=(2, 1), seed=0, **SMALL)
     points = [spec.execute() for spec in plan.scenarios]
-    result = loadstorm_sweep.assemble(points, plan.meta)
-    assert isinstance(result, LoadstormResult)
+    result = SWEEP.assemble(points, plan.meta)
+    assert isinstance(result, SweepResult)
     assert [p.shards for p in result.points] == [2, 1]
     assert result.population == SMALL["population"]
     report = result.format_report()

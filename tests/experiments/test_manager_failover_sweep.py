@@ -48,7 +48,7 @@ def test_window_must_be_positive():
 
 def test_format_report_mentions_the_sweep():
     result = manager_failover_sweep.run(standbys=(1,), window_s=8.0, seed=0)
-    report = manager_failover_sweep.format_report(result)
+    report = result.format_report()
     assert "Manager failover" in report
     assert "invariants" in report
     assert "PASS" in report

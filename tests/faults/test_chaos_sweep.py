@@ -47,6 +47,6 @@ def test_window_must_be_positive():
 
 def test_format_report_mentions_the_sweep():
     result = chaos_sweep.run(rates=(0.0,), window_s=5.0, seed=0)
-    report = chaos_sweep.format_report(result)
+    report = result.format_report()
     assert "Chaos sweep" in report
     assert "p95 (ms)" in report

@@ -53,6 +53,20 @@ def test_node_crash_then_timed_recovery():
     assert platform.manager.node_info("n0001").cores_total == 4
 
 
+def test_recovery_bug_propagates_instead_of_becoming_a_failed_recovery(monkeypatch):
+    plan = FaultPlan(name="crash").node_crash(at_s=1.0, node="n0001", duration_s=2.0)
+    platform = build_platform(plan=plan)
+
+    def broken_register_node(**registration):
+        raise TypeError("register_node() got an unexpected keyword argument")
+
+    monkeypatch.setattr(platform.manager, "register_node", broken_register_node)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        platform.run()
+    registry = platform.telemetry.metrics
+    assert registry.get("repro_faults_node_recoveries_total").value == 0
+
+
 def test_crash_of_unknown_node_is_skipped_not_fatal():
     plan = FaultPlan().node_crash(at_s=0.5, node="n9999")
     platform = build_platform(plan=plan)

@@ -30,7 +30,7 @@ if mode == "traced":
     pipeline.close()
 else:
     result = chaos_sweep.run(**kwargs)
-sys.stdout.write(chaos_sweep.format_report(result))
+sys.stdout.write(result.format_report())
 """
 
 

@@ -45,6 +45,23 @@ def test_injector_restarts_the_shard_after_the_outage():
     env.run()
 
 
+def test_node_recovery_while_every_shard_is_down_fails_as_modeled():
+    env, plane = build_plane(shards=1, nodes=2)
+    plan = (FaultPlan(name="p")
+            .node_crash(at_s=0.5, node="n0001", duration_s=0.5, immediate=True)
+            .manager_crash(at_s=0.7, duration_s=1.0, shard=0))
+    injector = Injector(env, plan, manager=plane,
+                        rng=np.random.default_rng(0))
+    injector.start()
+    env.run(until=3.0)
+    # The plane could not take the node back: the crash is permanent for
+    # the run, recorded as a failed recovery rather than an error.
+    assert not plane.is_registered("n0001")
+    assert plane.shards[0].available
+    plane.stop()
+    env.run()
+
+
 def test_untargeted_manager_crash_lands_on_shard_zero():
     env, plane = build_plane(shards=2, nodes=4)
     plan = FaultPlan(name="p").manager_crash(at_s=0.5)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.sweep import sweep_names
+from repro.experiments.base import registered_sweeps
 
 
 def collect():
@@ -17,7 +17,7 @@ def test_sweep_list_enumerates_the_registry():
     lines, out = collect()
     assert main(["sweep", "list"], out=out) == 0
     text = "\n".join(lines)
-    for name in sweep_names():
+    for name in registered_sweeps():
         assert name in text
 
 

@@ -5,9 +5,16 @@ counters, rng state, import order — can leak between the serial and
 parallel runs.  If ``--jobs 4`` and ``--jobs 1`` produce even one
 differing byte in the merged result (or in the merged span stream),
 the fan-out is not deterministic and these tests fail.
+
+Comparing the code with itself cannot catch a change that alters both
+runs alike, so the ``--jobs 1`` JSON and report are also pinned to
+sha256 digests (``PINNED``): a renamed JSON key or a changed report row
+fails here even when serial and parallel still agree.
 """
 
+import hashlib
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -27,6 +34,32 @@ SWEEP_ARGS = {
                   "--rate", "600", "--population", "50000"],
 }
 
+#: name -> (sha256 of the ``--jobs 1`` JSON, sha256 of its stdout report
+#: with the volatile ``[... completed in Xs]`` and ``[json -> PATH]``
+#: lines removed).
+PINNED = {
+    "autoscale": ("07b0eaac58b793c37870e1ae108098e712c474691940d9beb03a8bf370619caa",
+        "bbfb4d15afef711fa669a3ac3116df271f6af1537dd32508899c562d309fa513"),
+    "chaos": ("a976712103f71382e6cec833ff1ff4b78cb38f638863745209a2ea37eb829aa5",
+        "43bf8e1e80c8f0c2448484d40aeda6b4e3fc766de32677b630e8ff1726577215"),
+    "gpu_scaling": ("ce888bc944542040c16f7a451c18d2de16cd0d3a1d5da6a6961bcc81f2920a4c",
+        "2cb0ed011e9c7338f46f01259e1bc122fbf1f3aa3c4a3868c4833dce10e87467"),
+    "loadstorm": ("b6da476669cf8cc8d55ecd0c547e32a967beb3a010256c47ee8b03bd27404bf8",
+        "602dd4ba9b9018135c788ec1b63858c0c5fd1b4fbe60000d6ec061bcd956a488"),
+    "manager_failover": ("53d8ebfd10092567f3956a1a503ed5ac31f836279b84de8c130f31cf7a290c62",
+        "e26576fc8609a482f751fa291442ccb0161377aba5ff3c24aecb1c6726ba0cdb"),
+    "memdurability": ("cb05d54df6552b3d025d01a55de671f0f88dad18e98320ad2eeac17684fc2d14",
+        "18fcb4fb26340f5b207d2aa65423e037a889574ac59b5a5a0fc0ef52f38bdd97"),
+}
+
+_VOLATILE_LINE = re.compile(r"^\[(.* completed in .*|json -> .*)\]$")
+
+
+def _report_digest(stdout):
+    kept = [line for line in stdout.splitlines()
+            if not _VOLATILE_LINE.match(line)]
+    return hashlib.sha256("\n".join(kept).encode()).hexdigest()
+
 
 def _run_cli(args, cwd):
     env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
@@ -41,15 +74,24 @@ def _run_cli(args, cwd):
 @pytest.mark.parametrize("name", sorted(SWEEP_ARGS))
 def test_merged_json_is_byte_identical_serial_vs_parallel(name, tmp_path):
     blobs = {}
+    reports = {}
     for jobs in (1, 4):
         out = tmp_path / f"{name}-{jobs}.json"
-        _run_cli([*SWEEP_ARGS[name], "--jobs", str(jobs), "--json", str(out)],
-                 cwd=tmp_path)
+        proc = _run_cli([*SWEEP_ARGS[name], "--jobs", str(jobs),
+                         "--json", str(out)], cwd=tmp_path)
         blobs[jobs] = out.read_bytes()
+        reports[jobs] = proc.stdout
     assert blobs[1] == blobs[4], (
         f"{name}: --jobs 4 produced different JSON than --jobs 1"
     )
     assert blobs[1]  # non-vacuous: the sweep actually wrote something
+    json_digest, report_digest = PINNED[name]
+    assert hashlib.sha256(blobs[1]).hexdigest() == json_digest, (
+        f"{name}: --jobs 1 JSON differs from the pinned golden"
+    )
+    assert _report_digest(reports[1]) == report_digest, (
+        f"{name}: report differs from the pinned golden"
+    )
 
 
 def test_merged_span_stream_is_byte_identical_serial_vs_parallel(tmp_path):

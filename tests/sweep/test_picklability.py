@@ -54,7 +54,7 @@ def test_cluster_spec_roundtrips():
 @pytest.mark.parametrize("module", [chaos_sweep, autoscale_sweep,
                                     gpu_scaling_sweep, memdurability_sweep])
 def test_every_planned_scenario_spec_roundtrips(module):
-    for spec in module.plan_scenarios().scenarios:
+    for spec in module.SWEEP.plan().scenarios:
         clone = _roundtrip(spec)
         assert clone.label == spec.label
         assert clone.seed == spec.seed

@@ -1,20 +1,20 @@
 """The experiment protocol: specs, plans, the registry, result contract."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.experiments import (autoscale_sweep, chaos_sweep,
                                gpu_scaling_sweep, memdurability_sweep)
 from repro.experiments.base import (
     ScenarioSpec,
-    Sweep,
     SweepPlan,
     SweepResult,
     get_sweep,
     register_sweep,
     registered_sweeps,
-    result_to_json,
 )
-from repro.sweep import sweep_names
 
 
 def _echo(params, seed):
@@ -28,7 +28,6 @@ def test_scenario_spec_executes_fn_with_params_and_seed():
 
 def test_builtin_sweeps_are_registered():
     assert {"chaos", "autoscale", "gpu_scaling", "memdurability"} <= set(registered_sweeps())
-    assert sweep_names() == list(registered_sweeps())
 
 
 def test_get_sweep_unknown_name_lists_the_registry():
@@ -43,8 +42,7 @@ def test_register_sweep_rejects_a_second_sweep_under_the_same_name():
     # Re-registering the identical object is idempotent...
     assert register_sweep(sweep) is sweep
     # ...but a different object under a taken name is a wiring bug.
-    clone = Sweep(name="chaos", description="imposter", plan=sweep.plan,
-                  assemble=sweep.assemble, result_type=sweep.result_type)
+    clone = dataclasses.replace(sweep, description="imposter")
     with pytest.raises(ValueError):
         register_sweep(clone)
 
@@ -52,21 +50,21 @@ def test_register_sweep_rejects_a_second_sweep_under_the_same_name():
 @pytest.mark.parametrize("module", [chaos_sweep, autoscale_sweep,
                                     gpu_scaling_sweep, memdurability_sweep])
 def test_default_plans_fix_order_seeds_and_labels(module):
-    plan = module.plan_scenarios()
+    plan = module.SWEEP.plan()
     assert isinstance(plan, SweepPlan)
     assert len(plan) == len(plan.scenarios) > 0
     labels = [spec.label for spec in plan.scenarios]
     assert len(labels) == len(set(labels))
     assert all(isinstance(spec.seed, int) for spec in plan.scenarios)
     # The plan is deterministic: same arguments, same specs.
-    again = module.plan_scenarios()
+    again = module.SWEEP.plan()
     assert [(s.params, s.seed, s.label) for s in plan.scenarios] == \
            [(s.params, s.seed, s.label) for s in again.scenarios]
 
 
 def test_plan_seed_fans_out_per_scenario():
-    one = chaos_sweep.plan_scenarios(rates=(0.0, 8.0), window_s=4.0, seed=1)
-    two = chaos_sweep.plan_scenarios(rates=(0.0, 8.0), window_s=4.0, seed=2)
+    one = chaos_sweep.SWEEP.plan(rates=(0.0, 8.0), window_s=4.0, seed=1)
+    two = chaos_sweep.SWEEP.plan(rates=(0.0, 8.0), window_s=4.0, seed=2)
     assert [s.seed for s in one.scenarios] != [s.seed for s in two.scenarios]
 
 
@@ -74,7 +72,8 @@ def test_run_serial_result_satisfies_the_sweep_result_protocol():
     result = chaos_sweep.SWEEP.run_serial(rates=(0.0,), window_s=4.0)
     assert isinstance(result, SweepResult)
     assert hasattr(result, "points")
-    assert result.to_json() == result_to_json(result)
+    assert result.to_json() == json.dumps(result.to_dict(), sort_keys=True,
+                                          indent=2)
     assert result.format_report()
 
 

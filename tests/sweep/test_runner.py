@@ -6,15 +6,15 @@ covered by ``test_parallel_determinism.py``.
 """
 
 import os
+from dataclasses import dataclass
 
 import pytest
 
-from repro.experiments.base import ScenarioSpec, Sweep, SweepPlan
+from repro.experiments.base import Param, Sweep, registered_sweeps, walk
 from repro.sweep import (
     SweepScenarioError,
     run_sweep,
     stream_part_path,
-    sweep_names,
 )
 
 CHAOS_KWARGS = dict(rates=(0.0, 8.0), window_s=4.0, seed=7)
@@ -67,31 +67,20 @@ def test_stream_bytes_identical_at_every_jobs_count(tmp_path):
 # -- failure contract --------------------------------------------------------
 
 def _boom(params, seed):
-    raise RuntimeError(f"kaboom-{params['rate']}")
-
-
-def _ok(params, seed):
+    if params["rate"]:
+        raise RuntimeError(f"kaboom-{params['rate']}")
     return {"rate": params["rate"]}
 
 
-def _failing_plan(**kwargs):
-    return SweepPlan(scenarios=(
-        ScenarioSpec(fn=_ok, params={"rate": 0.0}, seed=0, label="rate-0"),
-        ScenarioSpec(fn=_boom, params={"rate": 8.0}, seed=1, label="rate-8"),
-    ))
-
-
-class _ListResult:
-    def __init__(self, points):
-        self.points = points
-
-
-def _assemble(points, meta):
-    return _ListResult(points)
+@dataclass(frozen=True)
+class _RatePoint:
+    rate: float
 
 
 FAILING = Sweep(name="failing-test-sweep", description="always fails",
-                plan=_failing_plan, assemble=_assemble, result_type=_ListResult)
+                scenario=_boom, point=_RatePoint,
+                axis=walk("rates", "rate", "rate-{:g}"),
+                params=(Param("rates", (0.0, 8.0)),))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -107,4 +96,4 @@ def test_worker_failure_surfaces_the_original_traceback(jobs):
 
 
 def test_failing_sweeps_are_not_registered():
-    assert FAILING.name not in sweep_names()
+    assert FAILING.name not in registered_sweeps()

@@ -5,9 +5,10 @@
 any ``jobs`` count if each registered sweep keeps two promises that
 nothing in the type system enforces:
 
-* its ``result_type`` exposes the :class:`repro.experiments.base.SweepResult`
-  protocol — ``to_dict()`` / ``to_json()`` / ``format_report()`` plus a
-  ``points`` attribute — so the CLI and JSON export work uniformly; and
+* its declaration is consistent: the ``point`` is a dataclass (the
+  result's ``to_dict()`` runs :func:`dataclasses.asdict` on it), every
+  ``meta`` key names a declared parameter, and no two parameters share a
+  name or a CLI flag; and
 * every :class:`~repro.experiments.base.ScenarioSpec` in its default
   plan crosses the process-pool boundary intact: a module-level ``fn``
   (closures and lambdas don't pickle), picklable ``params``, an ``int``
@@ -21,6 +22,7 @@ Run standalone or through the unified entry point::
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 import pickle
 import sys
@@ -28,21 +30,18 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _result_type_problems(name: str, result_type: type) -> list[str]:
+def _declaration_problems(name: str, sweep) -> list[str]:
     problems: list[str] = []
-    for method in ("to_dict", "to_json", "format_report"):
-        if not callable(getattr(result_type, method, None)):
-            problems.append(
-                f"sweep {name!r}: result type {result_type.__name__} has no "
-                f"{method}() (SweepResult protocol)"
-            )
-    fields = getattr(result_type, "__dataclass_fields__", {})
-    annotations = getattr(result_type, "__annotations__", {})
-    if "points" not in fields and "points" not in annotations:
-        problems.append(
-            f"sweep {name!r}: result type {result_type.__name__} has no "
-            f"'points' attribute (SweepResult protocol)"
-        )
+    if not dataclasses.is_dataclass(sweep.point):
+        problems.append(f"sweep {name!r}: point {sweep.point!r} is not a dataclass")
+    names = [param.name for param in sweep.params]
+    flags = [param.flag for param in sweep.params if param.flag is not None]
+    for kind, values in (("parameter", names), ("flag", flags)):
+        if len(values) != len(set(values)):
+            problems.append(f"sweep {name!r}: duplicate {kind}s {values}")
+    for key in sweep.meta:
+        if key not in names:
+            problems.append(f"sweep {name!r}: meta key {key!r} is not a parameter")
     return problems
 
 
@@ -91,7 +90,7 @@ def violations() -> list[str]:
 
     problems: list[str] = []
     for name, sweep in registry.items():
-        problems.extend(_result_type_problems(name, sweep.result_type))
+        problems.extend(_declaration_problems(name, sweep))
         try:
             plan = sweep.plan()
         except Exception as exc:  # noqa: BLE001
