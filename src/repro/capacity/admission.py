@@ -135,6 +135,9 @@ class AdmissionController:
         self.config = config or AdmissionConfig()
         self._buckets: dict[str, TokenBucket] = {}
         self._queue: list[_QueueEntry] = []
+        #: Live count of uncancelled entries in ``_queue``: +1 on push,
+        #: -1 when the pump serves one or its waiter times out.
+        self._waiting = 0
         self._seq = itertools.count()
         self._pump = None
         self.admitted = 0
@@ -159,7 +162,7 @@ class AdmissionController:
 
     # -- views ---------------------------------------------------------------
     def queue_depth(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
+        return self._waiting
 
     def bucket_for(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
@@ -189,6 +192,7 @@ class AdmissionController:
             self.env.event(), self.env.now,
         )
         heapq.heappush(self._queue, entry)
+        self._waiting += 1
         self._m_depth.set(self.queue_depth())
         self._ensure_pump()
         max_wait = self.config.max_queue_wait_s
@@ -199,6 +203,7 @@ class AdmissionController:
             yield self.env.any_of([entry.event, timer])
             if not entry.event.triggered:
                 entry.cancelled = True
+                self._waiting -= 1
                 self._m_depth.set(self.queue_depth())
                 self._reject(tenant, "timeout", ctx)
         waited = self.env.now - entry.enqueued_at
@@ -253,5 +258,6 @@ class AdmissionController:
                 continue  # re-examine: a higher-priority entry may have arrived
             bucket.try_take(self.env.now, head.cost)
             heapq.heappop(self._queue)
+            self._waiting -= 1
             self._m_depth.set(self.queue_depth())
             head.event.succeed()

@@ -21,11 +21,15 @@ Usage::
 
 ``repro run`` covers the paper's figures and tables; its ``--set
 key=value`` pairs are parsed as Python literals and forwarded to the
-experiment's ``run()``.  ``--trace`` writes a Chrome ``trace_event``
-JSON (open in Perfetto / about://tracing), ``--spans`` a JSONL span
-dump, and ``--metrics-out`` a Prometheus-style text exposition; all
-three observe the run through a :class:`~repro.telemetry.TelemetryCollector`
-without perturbing simulated time.
+experiment's ``run()``.  ``repro sweep`` parses them the same way,
+then converts each to its declared parameter's type
+(:meth:`~repro.experiments.base.Param.coerce`), so ``--set window_s=4``
+and ``--window 4`` ask for the same run.  ``--trace`` writes a Chrome
+``trace_event`` JSON (open in Perfetto / about://tracing), ``--spans``
+a JSONL span dump, and ``--metrics-out`` a Prometheus-style text
+exposition; all three observe the run through a
+:class:`~repro.telemetry.TelemetryCollector` without perturbing
+simulated time.
 
 Every registered sweep gets a subcommand derived from its declaration
 (:mod:`repro.experiments.base`): each :class:`~repro.experiments.base.Param`
@@ -529,6 +533,12 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
                 out(f"{n.ljust(width)}  {sweep.description}")
             return 0
         kwargs = _parse_overrides(args.set)
+        params = {param.name: param for param in get_sweep(args.name).params}
+        for key in kwargs.keys() & params.keys():
+            try:
+                kwargs[key] = params[key].coerce(kwargs[key])
+            except (OSError, ValueError, TypeError, KeyError) as exc:
+                parser.error(f"--set {key}: {exc}")
         kwargs.setdefault("seed", args.seed)
         return _run_sweep_command(args.name, kwargs, args, parser, out)
 

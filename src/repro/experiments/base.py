@@ -123,6 +123,32 @@ class Param:
     positive: bool = False
     group: Optional[str] = None
 
+    def coerce(self, value: Any) -> Any:
+        """``value`` (a Python literal) in the type the flag would parse.
+
+        A float accepts an int and a tuple's items follow its default's
+        first item (a scalar becomes a one-item tuple), so ``4`` and
+        ``(0,)`` land as ``4.0`` and ``(0.0,)`` exactly as ``--window 4``
+        and ``--rates 0`` do; ``parse`` converts text.  Raises ValueError
+        for a value of another type.
+        """
+        default = self.default
+        if self.parse is not None and isinstance(value, str):
+            return self.parse(value)
+        if isinstance(default, tuple):
+            items = value if isinstance(value, (tuple, list)) else (value,)
+            return tuple(self._as(type(default[0]), item) for item in items)
+        if default is None:
+            return value
+        return self._as(type(default), value)
+
+    def _as(self, kind: type, value: Any) -> Any:
+        if kind is float and type(value) is int:
+            return float(value)
+        if type(value) is not kind:
+            raise ValueError(f"{self.name} expects {kind.__name__}, got {value!r}")
+        return value
+
     def _check(self, value: Any) -> None:
         items = value if isinstance(value, (tuple, list)) else (value,)
         if self.positive and not all(item > 0 for item in items):

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster.machine import Cluster
+from ..cluster.node import AllocationError
 from ..network.transport import Connection, NetworkFabric, TransferDropped
 from ..rfaas.errors import DataLossError, MemoryServiceUnavailable
 from ..rfaas.load import NodeLoadRegistry
@@ -473,7 +474,7 @@ class ReplicatedMemoryService:
             return False
         try:
             replica = self._host_replica(chunk, target)
-        except Exception:
+        except AllocationError:
             return False
         try:
             moved = yield from self._transfer(

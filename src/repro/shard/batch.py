@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
+from ..rfaas.errors import RFaaSError
 from ..sim.engine import Environment, Event
 
 __all__ = ["BatchOp", "ShardBatcher"]
@@ -119,6 +120,11 @@ class ShardBatcher:
                 try:
                     value = self._apply(op)
                 except Exception as exc:
+                    if isinstance(exc, RFaaSError):
+                        # A modeled denial is an answer, not a bug:
+                        # without its traceback (-> this frame -> op ->
+                        # event -> exc) refcounting frees it, not the GC.
+                        exc.with_traceback(None)
                     self.ops_failed += 1
                     op.event.fail(exc)
                 else:

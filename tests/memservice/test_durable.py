@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import ClusterSpec, Platform
+from repro.cluster.node import AllocationError
 from repro.faults import FaultPlan
 from repro.memservice import DurableMemoryConfig
 from repro.rfaas.errors import DataLossError, MemoryServiceUnavailable
@@ -349,6 +350,37 @@ def test_migration_charges_time_through_the_fabric():
     assert service.moved_bytes >= 16 * MiB
     assert platform.fabric.stats.bytes >= service.moved_bytes
     assert platform.env.now > before
+
+
+def test_a_target_without_room_fails_the_copy(monkeypatch):
+    platform = build(replication=2)
+    service = platform.durable_memory
+    chunk = service.chunks[0]
+
+    def no_room(chunk, node_name):
+        raise AllocationError(f"{node_name} has no room")
+
+    monkeypatch.setattr(service, "_host_replica", no_room)
+    copied = drive(platform, service._copy_replica(
+        chunk, source=chunk.replicas[0], exclude=chunk.nodes(),
+        remove_source=False,
+    ))
+    assert copied is False
+    assert len(chunk.replicas) == 2
+
+
+def test_a_programming_error_in_a_copy_propagates_out_of_the_run(monkeypatch):
+    platform = build(replication=2)
+    service = platform.durable_memory
+
+    def broken(chunk, node_name):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(service, "_host_replica", broken)
+    service._on_drain(service.chunks[0].nodes()[0])
+    with pytest.raises(TypeError, match="bug"):
+        platform.run_until(5.0)
+    assert service.migration_failures == 0
 
 
 # -- fault injection -----------------------------------------------------------

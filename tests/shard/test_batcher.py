@@ -1,7 +1,10 @@
 """Batcher mechanics: FIFO batching, cost model, failure accounting."""
 
+import traceback
+
 import pytest
 
+from repro.rfaas.errors import NoCapacityError
 from repro.shard import ShardBatcher
 from repro.sim.engine import Environment
 
@@ -67,6 +70,44 @@ def test_apply_failure_fails_the_submit_event_and_counts():
     assert batcher.ops_submitted == 3
     batcher.stop()
     env.run()
+
+
+def _failure_frames(error):
+    """Frame names on the traceback a client sees for an op ``apply`` fails.
+
+    The client is a process named ``client`` awaiting the submit event.
+    """
+    env = Environment()
+
+    def apply(op):
+        raise error
+
+    batcher = ShardBatcher(env, 0, apply=apply)
+    caught = []
+
+    def client(env):
+        try:
+            yield batcher.submit("grant", {})
+        except type(error) as exc:
+            caught.append(exc)
+
+    env.process(client(env))
+    env.run()
+    batcher.stop()
+    env.run()
+    (exc,) = caught
+    assert batcher.ops_failed == 1
+    return [frame.name for frame in traceback.extract_tb(exc.__traceback__)]
+
+
+def test_a_modeled_denial_reaches_the_client_without_batcher_frames():
+    # A denial keeps no frame of _run or apply alive, so it leaves no
+    # traceback -> frame -> op -> event -> error cycle behind.
+    assert _failure_frames(NoCapacityError("full")) == ["client"]
+
+
+def test_a_programming_error_keeps_its_traceback():
+    assert _failure_frames(ValueError("bug")) == ["client", "_run", "apply"]
 
 
 def test_stop_drains_queued_ops_then_rejects_new_ones():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.base import registered_sweeps
+from repro.experiments.base import Param, registered_sweeps
 
 
 def collect():
@@ -32,6 +32,39 @@ def test_sweep_runs_a_registered_sweep_with_overrides(tmp_path):
     assert "chaos completed in" in text
     data = json.loads(blob.read_text())
     assert [p["label"] for p in data["points"]] == ["rate-0", "rate-8"]
+
+
+def test_set_values_take_the_declared_type_like_the_flags(tmp_path):
+    generic, dedicated = tmp_path / "A.json", tmp_path / "B.json"
+    assert main(["sweep", "chaos", "--set", "rates=(0,)", "--set", "window_s=4",
+                 "--json", str(generic)], out=lambda s: None) == 0
+    assert main(["chaos", "--rates", "0", "--window", "4",
+                 "--json", str(dedicated)], out=lambda s: None) == 0
+    assert generic.read_bytes() == dedicated.read_bytes()
+    assert json.loads(generic.read_text())["window_s"] == 4.0
+
+
+def test_coerce_follows_the_default_type():
+    assert Param("window_s", 8.0).coerce(4) == 4.0
+    assert type(Param("window_s", 8.0).coerce(4)) is float
+    assert Param("rates", (0.0, 8.0)).coerce((0, 8)) == (0.0, 8.0)
+    assert Param("rates", (0.0, 8.0)).coerce(0) == (0.0,)
+    assert Param("shards", (1, 2)).coerce([4]) == (4,)
+    assert Param("plan", None, parse=str.upper).coerce("p.json") == "P.JSON"
+    assert Param("plan", None).coerce({"any": 1}) == {"any": 1}
+    for param, value in ((Param("requests", 4096), 4.5),
+                         (Param("requests", 4096), True),
+                         (Param("crash", True), 0),
+                         (Param("shards", (1, 2)), (1.5,)),
+                         (Param("window_s", 8.0), "abc")):
+        with pytest.raises(ValueError):
+            param.coerce(value)
+
+
+def test_sweep_rejects_mistyped_set_values():
+    for pair in ("window_s=abc", "shards=(1.5,)", "crash_at_frac=None"):
+        with pytest.raises(SystemExit):
+            main(["sweep", "loadstorm", "--set", pair], out=lambda s: None)
 
 
 def test_sweep_rejects_unknown_names():
